@@ -115,12 +115,13 @@ SERVE:
     the catalog and counters. Completed reports are cached by scenario
     digest (identical submissions coalesce onto one run); a full queue
     answers 429 with Retry-After. SIGINT/SIGTERM drain gracefully.
-    With --state-dir the result cache is durable: completed reports and
-    event streams are checksummed onto disk and survive restarts (warm
-    digests are served byte-identical with zero recompute; torn or
-    corrupt entries are quarantined, never served). Add ?follow=1 to the
-    events URL of a queued/running job for a live subscription that
-    converges byte-identically with the replay.
+    With --state-dir the result cache is durable: completed reports are
+    checksummed onto disk and survive restarts (warm digests are served
+    byte-identical with zero recompute; torn or corrupt entries are
+    quarantined, never served). Event streams are never stored: every
+    events request replays the first trial, at most --workers at once
+    (429 beyond). ?follow=1 is accepted for compatibility and returns
+    the same stream.
     --addr HOST:PORT   bind address (default 127.0.0.1:7878; port 0 picks
                        an ephemeral port, printed on the listening line)
     --workers N        worker threads (default 0 = all cores)
@@ -131,8 +132,6 @@ SERVE:
     --max-body-bytes N request body cap, 413 beyond (default 1 MiB)
     --state-dir DIR    persist results to DIR (journal + checksummed blobs)
     --state-max-bytes N on-disk store budget, LRU-evicted (default 256 MiB)
-    --follow-buffer-bytes N per-follower live buffer before lines are
-                       dropped with a follow_drop marker (default 1 MiB)
     --quiet            suppress the stderr access log
 ";
 

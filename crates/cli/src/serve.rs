@@ -32,7 +32,7 @@ impl ScenarioService for CliService {
 /// Run `bas serve` with parsed flags. Recognized: `--addr HOST:PORT`,
 /// `--workers N`, `--queue-depth N`, `--cache N`, `--max-trials N`,
 /// `--max-horizon SECONDS`, `--max-body-bytes N`, `--state-dir DIR`,
-/// `--state-max-bytes N`, `--follow-buffer-bytes N`, `--quiet`.
+/// `--state-max-bytes N`, `--quiet`.
 pub fn run(args: &Args) -> Result<(), CliError> {
     let mut config = ServeConfig::default();
     for (key, value) in &args.flags {
@@ -67,14 +67,6 @@ pub fn run(args: &Args) -> Result<(), CliError> {
                         ))
                     },
                 )?;
-            }
-            "follow-buffer-bytes" => {
-                config.follow_buffer_bytes =
-                    value.parse::<usize>().ok().filter(|n| *n > 0).ok_or_else(|| {
-                        CliError::Usage(format!(
-                            "`bas serve --follow-buffer-bytes` needs a positive byte count, got {value:?}"
-                        ))
-                    })?;
             }
             "quiet" => config.quiet = true,
             key => {

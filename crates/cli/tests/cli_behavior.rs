@@ -337,15 +337,15 @@ fn bench_quick_emits_valid_bas_bench_v1_json() {
 #[test]
 fn serve_rejects_bad_flags_with_usage() {
     for args in [
-        &["serve", "--workers"][..],                 // flag without a value
-        &["serve", "--workers", "lots"],             // non-numeric value
-        &["serve", "--queue-depth", "-1"],           // negative count
-        &["serve", "--max-horizon", "0"],            // non-positive budget
-        &["serve", "--state-dir", ""],               // empty path
-        &["serve", "--state-max-bytes", "0"],        // non-positive budget
-        &["serve", "--follow-buffer-bytes", "none"], // non-numeric value
-        &["serve", "--frobnicate", "x"],             // unknown flag
-        &["serve", "extra"],                         // stray positional
+        &["serve", "--workers"][..],              // flag without a value
+        &["serve", "--workers", "lots"],          // non-numeric value
+        &["serve", "--queue-depth", "-1"],        // negative count
+        &["serve", "--max-horizon", "0"],         // non-positive budget
+        &["serve", "--state-dir", ""],            // empty path
+        &["serve", "--state-max-bytes", "0"],     // non-positive budget
+        &["serve", "--follow-buffer-bytes", "1"], // removed flag, now unknown
+        &["serve", "--frobnicate", "x"],          // unknown flag
+        &["serve", "extra"],                      // stray positional
     ] {
         let out = bas(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");

@@ -30,17 +30,6 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-impl Request {
-    /// Whether the query string carries `name` as a truthy flag
-    /// (`name=1`, `name=true`, or bare `name`).
-    pub fn query_flag(&self, name: &str) -> bool {
-        self.query.split('&').any(|pair| {
-            let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-            key == name && matches!(value, "" | "1" | "true")
-        })
-    }
-}
-
 /// A request that could not be parsed, mapped to the HTTP status the
 /// server should answer with.
 #[derive(Debug)]
@@ -347,15 +336,9 @@ mod tests {
         let req = parse("GET /v1/jobs/1/events?follow=1 HTTP/1.1\r\n\r\n").unwrap().unwrap();
         assert_eq!(req.path, "/v1/jobs/1/events");
         assert_eq!(req.query, "follow=1");
-        assert!(req.query_flag("follow"));
-        assert!(!req.query_flag("fol"));
 
         let req = parse("GET /v1/healthz HTTP/1.1\r\n\r\n").unwrap().unwrap();
         assert_eq!(req.query, "");
-        assert!(!req.query_flag("follow"));
-
-        let req = parse("GET /x?a=0&follow HTTP/1.1\r\n\r\n").unwrap().unwrap();
-        assert!(req.query_flag("follow") && !req.query_flag("a"));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! `POST /v1/jobs` accepts scenarios either as TOML (the on-disk format) or
 //! as JSON. Rather than grow a second deserializer inside `bas-core`, a JSON
-//! body is parsed here and *re-rendered as canonical TOML*, then handed to
+//! body is parsed by the workspace's one JSON parser
+//! ([`bas_workload::json`]) and *re-rendered as canonical TOML*, then handed to
 //! [`Scenario::from_toml`](bas_core::Scenario::from_toml) like any other
 //! submission. Both formats therefore share one validation path and one
 //! content digest: `{"kind": "sweep", "trials": 2}` and
@@ -13,31 +14,13 @@
 //! `"platform": {"pes": 4}`), which map onto `[table]` sections.
 
 use bas_core::toml::Value;
-
-/// A parsed JSON value (subset sufficient for scenario documents).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Int(i64),
-    Float(f64),
-    Str(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
+use bas_workload::json::{parse, Json};
 
 /// Convert a JSON scenario document into equivalent TOML text, ready for
 /// `Scenario::from_toml`. Errors are human-readable and surface in the
 /// daemon's 400 responses.
 pub fn scenario_toml_from_json(input: &str) -> Result<String, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage after JSON document at byte {}", p.pos));
-    }
-    let Json::Object(entries) = value else {
+    let Json::Object(entries) = parse(input)? else {
         return Err("a scenario submission must be a JSON object".to_string());
     };
     let mut flat = String::new();
@@ -97,225 +80,6 @@ fn toml_value(value: &Json) -> Result<Value, String> {
             Ok(Value::Array(rendered?))
         }
         Json::Object(_) => Err("objects nest at most one level deep".to_string()),
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("unrecognized token at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(format!("unexpected {:?} at byte {}", other as char, self.pos)),
-            None => Err("unexpected end of JSON document".to_string()),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            if entries.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key {key:?}"));
-            }
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(entries));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let c = self.unicode_escape()?;
-                            out.push(c);
-                            continue;
-                        }
-                        other => {
-                            return Err(format!("unsupported escape {other:?}"));
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => {
-                    return Err("raw control character in string".to_string());
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (multi-byte sequences included).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// Parse the 4 hex digits of a `\u` escape (cursor just past the `u`),
-    /// joining surrogate pairs.
-    fn unicode_escape(&mut self) -> Result<char, String> {
-        let first = self.hex4()?;
-        if (0xD800..0xDC00).contains(&first) {
-            // High surrogate: a low surrogate escape must follow.
-            if self.bytes[self.pos..].starts_with(b"\\u") {
-                self.pos += 2;
-                let second = self.hex4()?;
-                if (0xDC00..0xE000).contains(&second) {
-                    let joined = 0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
-                    return char::from_u32(joined)
-                        .ok_or_else(|| "invalid surrogate pair".to_string());
-                }
-            }
-            return Err("lone high surrogate in \\u escape".to_string());
-        }
-        if (0xDC00..0xE000).contains(&first) {
-            return Err("lone low surrogate in \\u escape".to_string());
-        }
-        char::from_u32(first).ok_or_else(|| "invalid \\u escape".to_string())
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        let digits = self
-            .bytes
-            .get(self.pos..end)
-            .and_then(|d| std::str::from_utf8(d).ok())
-            .ok_or("truncated \\u escape")?;
-        let value =
-            u32::from_str_radix(digits, 16).map_err(|_| format!("bad \\u escape {digits:?}"))?;
-        self.pos = end;
-        Ok(value)
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        if !float {
-            if let Ok(i) = token.parse::<i64>() {
-                return Ok(Json::Int(i));
-            }
-        }
-        token
-            .parse::<f64>()
-            .map(Json::Float)
-            .map_err(|_| format!("bad number {token:?} at byte {start}"))
     }
 }
 

@@ -4,9 +4,9 @@
 //!
 //! * one accept loop (nonblocking + short sleep so shutdown is noticed),
 //! * one short-lived thread per connection (requests are `Connection:
-//!   close`, so a connection is one request),
+//!   close`, so a connection is one request); `/events` replays run here,
 //! * a fixed pool of worker threads popping job ids off a bounded queue
-//!   guarded by a `Mutex` + `Condvar`.
+//!   guarded by a `Mutex` + `Condvar`; idle workers sleep until woken.
 //!
 //! All shared state lives in one [`Registry`] behind a single mutex. Every
 //! critical section is a few map operations — scenario runs happen outside
@@ -25,7 +25,6 @@ use bas_core::{Scenario, ScenarioKind};
 
 use crate::cache::Lru;
 use crate::http;
-use crate::hub::{EventHub, HubSink};
 use crate::service::ScenarioService;
 use crate::store::{BlobKind, Store};
 
@@ -58,10 +57,6 @@ pub struct ServeConfig {
     /// Byte budget of the on-disk store; least-recently-used digests are
     /// evicted (and the eviction journaled) beyond it.
     pub state_max_bytes: u64,
-    /// Bytes of recent event-stream lines a `?follow=1` subscriber may lag
-    /// behind before lines are dropped (with a marker) rather than ever
-    /// backpressuring the worker.
-    pub follow_buffer_bytes: usize,
 }
 
 impl Default for ServeConfig {
@@ -77,7 +72,6 @@ impl Default for ServeConfig {
             quiet: false,
             state_dir: None,
             state_max_bytes: 256 * 1024 * 1024,
-            follow_buffer_bytes: 1024 * 1024,
         }
     }
 }
@@ -145,8 +139,6 @@ struct Registry {
     /// and `by_digest` (the persistent store, when configured, keeps its
     /// own copy — a later resubmission of an evicted digest rehydrates).
     done_lru: Lru<u64>,
-    /// Live-subscription fan-out points for queued/running sweep jobs.
-    hubs: HashMap<u64, Arc<EventHub>>,
     next_id: u64,
     running: usize,
     submitted: u64,
@@ -161,7 +153,6 @@ impl Registry {
             by_digest: HashMap::new(),
             queue: VecDeque::new(),
             done_lru: Lru::new(cache_capacity),
-            hubs: HashMap::new(),
             next_id: 1,
             running: 0,
             submitted: 0,
@@ -178,7 +169,6 @@ impl Registry {
                     self.by_digest.remove(&job.digest);
                 }
             }
-            self.hubs.remove(&evicted);
         }
     }
 }
@@ -299,8 +289,9 @@ impl ServerHandle {
     /// Begin graceful shutdown: stop accepting connections, finish every
     /// queued job, then let [`Server::run`] return.
     pub fn shutdown(&self) {
+        // `Server::run` wakes the idle workers once its accept loop sees
+        // the flag.
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.work_ready.notify_all();
     }
 
     /// Whether the queue is empty and no job is executing.
@@ -400,8 +391,15 @@ impl Server {
         }
         // Drain: no new connections are accepted; workers finish every
         // queued job (their loop only exits on shutdown + empty queue),
-        // and in-flight responses/streams complete.
-        shared.work_ready.notify_all();
+        // and in-flight responses/streams complete. The wakeup is sent
+        // under the registry lock: a worker is then either already asleep
+        // in `wait` (and woken) or has yet to check the shutdown flag
+        // under that lock (and sees it set), so no worker sleeps through
+        // the drain.
+        {
+            let _reg = shared.registry.lock().expect("registry poisoned");
+            shared.work_ready.notify_all();
+        }
         for handle in workers {
             let _ = handle.join();
         }
@@ -430,25 +428,19 @@ impl Server {
 /// Pop and execute jobs until shutdown with an empty queue.
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let (id, scenario, digest, hub) = {
+        let (id, scenario, digest) = {
             let mut reg = shared.registry.lock().expect("registry poisoned");
             loop {
                 if let Some(id) = reg.queue.pop_front() {
                     reg.running += 1;
                     let job = reg.jobs.get_mut(&id).expect("queued job is registered");
                     job.status = JobStatus::Running;
-                    let (scenario, digest) = (job.scenario.clone(), job.digest.clone());
-                    let hub = reg.hubs.get(&id).cloned();
-                    break (id, scenario, digest, hub);
+                    break (id, job.scenario.clone(), job.digest.clone());
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                let (guard, _) = shared
-                    .work_ready
-                    .wait_timeout(reg, Duration::from_millis(200))
-                    .expect("registry poisoned");
-                reg = guard;
+                reg = shared.work_ready.wait(reg).expect("registry poisoned");
             }
         };
         // Sweep jobs shard their trials across the pool width. The sweep
@@ -458,27 +450,6 @@ fn worker_loop(shared: &Arc<Shared>) {
         let mut run_scenario = scenario;
         if run_scenario.kind == ScenarioKind::Sweep {
             run_scenario.threads = shared.worker_count;
-        }
-        // Generate the deterministic first-trial event stream through the
-        // hub — the exact bytes `/events` replays — so followers watch it
-        // live and the store keeps it for replay-free serving. Skipped when
-        // nobody can use it (no store, no follower attached yet).
-        if let Some(hub) = &hub {
-            let wanted = shared.store.is_some() || hub.skip_unless_followed();
-            if wanted {
-                let ok = run_scenario.stream_events(HubSink(Arc::clone(hub))).is_ok();
-                let persist = hub.finish(ok);
-                if let (Some(store), Some(bytes)) = (&shared.store, persist) {
-                    let committed = store.lock().expect("store poisoned").commit(
-                        &digest,
-                        BlobKind::Events,
-                        &bytes,
-                    );
-                    if let Err(e) = committed {
-                        store_log(shared, &format!("events commit failed for {digest}: {e}"));
-                    }
-                }
-            }
         }
         let result = shared.service.run(&run_scenario).map(|report| report.to_json());
         if let (Some(store), Ok(json)) = (&shared.store, &result) {
@@ -499,7 +470,6 @@ fn worker_loop(shared: &Arc<Shared>) {
             Ok(json) => JobStatus::Done(Arc::from(json)),
             Err(message) => JobStatus::Failed(Arc::from(message)),
         };
-        reg.hubs.remove(&id);
         reg.finish(id);
     }
 }
@@ -562,9 +532,7 @@ fn route(shared: &Arc<Shared>, mut stream: TcpStream, request: http::Request) ->
         ("GET", "/v1/healthz") => respond(&mut stream, 200, &healthz_json(shared), &[]),
         ("GET", "/v1/presets") => respond(&mut stream, 200, &shared.service.presets_json(), &[]),
         ("POST", "/v1/jobs") => handle_submit(shared, stream, &request.body),
-        ("GET", path) if path.starts_with("/v1/jobs/") => {
-            handle_job_get(shared, stream, path, request.query_flag("follow"))
-        }
+        ("GET", path) if path.starts_with("/v1/jobs/") => handle_job_get(shared, stream, path),
         (_, "/v1/healthz" | "/v1/presets" | "/v1/jobs") => respond(
             &mut stream,
             405,
@@ -655,7 +623,6 @@ fn submit(shared: &Arc<Shared>, mut scenario: Scenario) -> Submitted {
         Some(store) => store.lock().expect("store poisoned").has(&digest, BlobKind::Report),
         None => false,
     };
-    let is_sweep = scenario.kind == ScenarioKind::Sweep;
     let mut reg = shared.registry.lock().expect("registry poisoned");
     if shared.shutdown.load(Ordering::SeqCst) {
         return Submitted::Draining;
@@ -693,24 +660,14 @@ fn submit(shared: &Arc<Shared>, mut scenario: Scenario) -> Submitted {
     reg.by_digest.insert(digest.clone(), id);
     reg.queue.push_back(id);
     reg.submitted += 1;
-    if is_sweep {
-        // Sweep jobs get a broadcast hub so `?follow=1` can attach before
-        // or during execution; the persist half feeds the events blob.
-        let persist_cap = match &shared.store {
-            Some(_) => {
-                usize::try_from(shared.config.state_max_bytes / 2).unwrap_or(usize::MAX).max(1)
-            }
-            None => 0,
-        };
-        reg.hubs.insert(id, EventHub::new(shared.config.follow_buffer_bytes, persist_cap));
-    }
     drop(reg);
     shared.work_ready.notify_one();
     Submitted::New { id, digest }
 }
 
-/// `GET /v1/jobs/<id>[/report|/events[?follow=1]]`.
-fn handle_job_get(shared: &Arc<Shared>, mut stream: TcpStream, path: &str, follow: bool) -> u16 {
+/// `GET /v1/jobs/<id>[/report|/events]` (the query string, such as a
+/// legacy `?follow=1`, is ignored).
+fn handle_job_get(shared: &Arc<Shared>, mut stream: TcpStream, path: &str) -> u16 {
     let respond = |stream: &mut TcpStream, status: u16, body: &str| {
         let _ = http::write_response(stream, status, "application/json", body.as_bytes(), &[]);
         status
@@ -733,13 +690,12 @@ fn handle_job_get(shared: &Arc<Shared>, mut stream: TcpStream, path: &str, follo
                 if snap.2.is_finished() {
                     reg.done_lru.touch(&id);
                 }
-                let hub = reg.hubs.get(&id).cloned();
-                Some((snap, hub))
+                Some(snap)
             }
             None => None,
         }
     };
-    let Some(((digest, scenario, mut status), hub)) = snapshot else {
+    let Some((digest, scenario, mut status)) = snapshot else {
         return respond(
             &mut stream,
             404,
@@ -795,34 +751,10 @@ fn handle_job_get(shared: &Arc<Shared>, mut stream: TcpStream, path: &str, follo
                     )),
                 );
             }
-            // Live subscription: attach to the running/queued job's hub and
-            // stream lines as the worker produces them. No permit needed —
-            // the worker is doing the computing, this thread only copies.
-            if follow && !status.is_finished() {
-                if let Some(hub) = &hub {
-                    if hub.attach() {
-                        let code = stream_follow(stream, hub);
-                        hub.detach();
-                        return code;
-                    }
-                }
-                // Generation was skipped (or the job predates hubs): fall
-                // through to the on-demand replay, which serves the same
-                // bytes — just not incrementally.
-            }
-            // A finished job's stream may be on disk already — serve the
-            // stored bytes without recomputing anything.
-            if status.is_finished() {
-                if let Some(store) = &shared.store {
-                    let bytes =
-                        store.lock().expect("store poisoned").load(&digest, BlobKind::Events);
-                    if let Some(bytes) = bytes {
-                        return stream_stored_events(stream, &bytes);
-                    }
-                }
-            }
-            // Replays bypass the worker queue, so they carry their own
-            // admission control: at most `worker_count` at once.
+            // Every stream is a fresh replay of the deterministic first
+            // trial, whatever the job's status. Replays bypass the worker
+            // queue, so they carry their own admission control: at most
+            // `worker_count` at once.
             let Some(_permit) = ReplayPermit::acquire(shared) else {
                 let _ = http::write_response(
                     &mut stream,
@@ -871,7 +803,8 @@ fn hydrate(shared: &Arc<Shared>, id: u64, digest: &str) -> Option<JobStatus> {
 
 /// Stream the deterministic first-trial event replay as chunked
 /// `bas-events/v2` JSONL. Runs on the connection thread — replays are
-/// on-demand reads, not queued jobs.
+/// on-demand reads, not queued jobs. Output leaves in 8 KiB chunks as it
+/// is generated.
 fn stream_job_events(mut stream: TcpStream, scenario: &Scenario) -> u16 {
     if http::write_chunked_head(&mut stream, "application/x-ndjson").is_err() {
         return 200;
@@ -891,63 +824,6 @@ fn stream_job_events(mut stream: TcpStream, scenario: &Scenario) -> u16 {
         }
     }
     200
-}
-
-/// Serve a finished job's event stream from its stored bytes — same
-/// chunked framing as a replay, zero recomputation.
-fn stream_stored_events(mut stream: TcpStream, bytes: &[u8]) -> u16 {
-    if http::write_chunked_head(&mut stream, "application/x-ndjson").is_err() {
-        return 200;
-    }
-    let mut sink = BufWriter::with_capacity(8192, http::ChunkedWriter::new(stream));
-    if sink.write_all(bytes).and_then(|()| sink.flush()).is_ok() {
-        if let Ok(chunker) = sink.into_inner() {
-            let _ = chunker.finish();
-        }
-    }
-    200
-}
-
-/// Stream a job's event lines live from its [`EventHub`] (`?follow=1`).
-///
-/// The subscriber runs at its own pace: lines it missed (evicted from the
-/// hub's bounded window) are acknowledged with a `follow_drop` marker
-/// line, and the worker is never blocked. A stream the producer aborted
-/// ends without the terminating chunk so clients can detect truncation —
-/// exactly like a failed replay.
-fn stream_follow(mut stream: TcpStream, hub: &Arc<EventHub>) -> u16 {
-    if http::write_chunked_head(&mut stream, "application/x-ndjson").is_err() {
-        return 200;
-    }
-    let mut out = BufWriter::with_capacity(8192, http::ChunkedWriter::new(stream));
-    let mut cursor = 0u64;
-    loop {
-        let batch = hub.next_batch(cursor, Duration::from_millis(200));
-        if batch.dropped > 0 {
-            let marker =
-                format!("{{\"type\": \"follow_drop\", \"dropped_lines\": {}}}\n", batch.dropped);
-            if out.write_all(marker.as_bytes()).is_err() {
-                return 200;
-            }
-        }
-        for line in &batch.lines {
-            if out.write_all(line).is_err() {
-                return 200;
-            }
-        }
-        cursor = batch.next_cursor;
-        if (!batch.lines.is_empty() || batch.dropped > 0) && out.flush().is_err() {
-            return 200;
-        }
-        if batch.drained {
-            if !batch.aborted {
-                if let Ok(chunker) = out.into_inner() {
-                    let _ = chunker.finish();
-                }
-            }
-            return 200;
-        }
-    }
 }
 
 fn error_json(message: &str) -> String {

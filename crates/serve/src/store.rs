@@ -7,6 +7,8 @@
 //!   journal.bas          append-only index of committed / evicted blobs
 //!   blobs/<digest>.report   one checksum frame holding `bas-report/v1` bytes
 //!   blobs/<digest>.events   one checksum frame holding `bas-events/v2` bytes
+//!                           (written by older daemons; still verified,
+//!                           counted and evicted, never served)
 //!   quarantine/          corrupt blobs are moved here, never served
 //! ```
 //!
@@ -137,6 +139,9 @@ pub enum BlobKind {
     /// `bas-report/v1` JSON — what `GET /v1/jobs/<id>/report` serves.
     Report,
     /// `bas-events/v2` NDJSON — the deterministic first-trial stream.
+    /// The daemon no longer writes these (`/events` always replays), but
+    /// state directories from older daemons hold them, so the store still
+    /// verifies, counts and evicts them.
     Events,
 }
 

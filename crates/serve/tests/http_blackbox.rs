@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bas_core::Scenario;
+use bas_serve::store::BlobKind;
 use bas_serve::{http, ServeConfig, Server, ServerHandle, SweepService};
 
 /// A tiny sweep that finishes in milliseconds.
@@ -377,11 +378,14 @@ fn events_replays_beyond_worker_count_get_429() {
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
 
     // The permit pool (sized to the worker count) is exhausted: a second
-    // concurrent replay bounces instead of running an unbounded simulation.
-    let (status, head, body) = get(addr, &format!("/v1/jobs/{id}/events"));
-    assert_eq!(status, 429, "{}", body_text(&body));
-    assert!(head.contains("Retry-After: 1"), "{head}");
-    assert!(body_text(&body).contains("saturated"), "{}", body_text(&body));
+    // concurrent replay bounces instead of running an unbounded simulation,
+    // and a `?follow=1` request is admitted like any other replay.
+    for query in ["", "?follow=1"] {
+        let (status, head, body) = get(addr, &format!("/v1/jobs/{id}/events{query}"));
+        assert_eq!(status, 429, "{query:?}: {}", body_text(&body));
+        assert!(head.contains("Retry-After: 1"), "{query:?}: {head}");
+        assert!(body_text(&body).contains("saturated"), "{query:?}: {}", body_text(&body));
+    }
 }
 
 #[test]
@@ -463,8 +467,8 @@ fn tmp_state_dir(tag: &str) -> std::path::PathBuf {
 
 /// A sweep whose **job** takes a second or so (many trials) while its
 /// first-trial event stream stays small — the shape the `?follow=1` tests
-/// need: the stream is generated instantly at dequeue, the job keeps the
-/// worker busy long enough to observe the live path.
+/// need: the replay streams in milliseconds while the job is still queued
+/// or running.
 fn follow_body(tag: u64, trials: usize) -> String {
     format!(
         "kind = \"sweep\"\nname = \"follow-{tag}\"\ntrials = {trials}\nhorizon = 2000.0\nworkload = \"unit\"\nprocessor = \"unit\"\nbattery = \"none\"\nspecs = [\"EDF\"]\n"
@@ -518,9 +522,51 @@ fn state_dir_restart_serves_byte_identical_results_with_zero_recompute() {
     let health = body_text(&health);
     assert_eq!(json_field(&health, "executed"), "0", "{health}");
     assert_eq!(json_field(&health, "cache_hits"), "1", "{health}");
-    assert_eq!(json_field(&health, "entries"), "2", "report + events blobs: {health}");
+    assert_eq!(json_field(&health, "entries"), "1", "the report blob only: {health}");
     assert_ne!(json_field(&health, "bytes"), "0", "{health}");
     assert_ne!(json_field(&health, "hydrations"), "0", "{health}");
+    assert_eq!(json_field(&health, "quarantines"), "0", "{health}");
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn state_dir_with_events_blobs_opens_clean_and_serves_its_reports() {
+    // Older daemons also stored each sweep job's event stream. Such a
+    // state directory must open without quarantines and keep serving.
+    let dir = tmp_state_dir("events-blobs");
+    let scenario = Scenario::from_toml(SMOKE).unwrap();
+    let digest = scenario.digest();
+    let report = {
+        use bas_serve::ScenarioService as _;
+        SweepService.run(&scenario).unwrap().to_json()
+    };
+    let events = scenario.stream_events(Vec::new()).expect("local replay");
+    {
+        let mut store = bas_serve::store::Store::open(&dir, 1 << 30, true).expect("open store");
+        store.commit(&digest, BlobKind::Report, report.as_bytes()).expect("commit report");
+        store.commit(&digest, BlobKind::Events, &events).expect("commit events");
+    }
+
+    let daemon =
+        Daemon::start(ServeConfig { state_dir: Some(dir.clone()), ..ServeConfig::default() });
+    let addr = daemon.addr;
+    let (status, _, body) = post(addr, SMOKE);
+    let body = body_text(&body);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_field(&body, "cached"), "true");
+    let id = json_field(&body, "job");
+    let (status, _, served) = get(addr, &format!("/v1/jobs/{id}/report"));
+    assert_eq!(status, 200);
+    assert_eq!(body_text(&served), report, "stored report must be served byte-identical");
+    let (status, _, chunked) = get(addr, &format!("/v1/jobs/{id}/events"));
+    assert_eq!(status, 200);
+    assert_eq!(http::decode_chunked(&chunked).expect("well-formed chunking"), events);
+
+    let (_, _, health) = get(addr, "/v1/healthz");
+    let health = body_text(&health);
+    assert_eq!(json_field(&health, "executed"), "0", "{health}");
+    assert_eq!(json_field(&health, "entries"), "2", "report + events blobs: {health}");
     assert_eq!(json_field(&health, "quarantines"), "0", "{health}");
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
@@ -617,8 +663,8 @@ fn follow_stream_converges_byte_identically_with_the_replay() {
     assert_eq!(status, 202, "{}", body_text(&response));
     let id = json_field(&body_text(&response), "job");
 
-    // Subscribe immediately: the connection stays open until the worker's
-    // first-trial stream completes, delivering it incrementally.
+    // Subscribe immediately: `?follow=1` is accepted and answered with the
+    // same replay, streamed on this request's connection.
     let (status, head, chunked) = get(addr, &format!("/v1/jobs/{id}/events?follow=1"));
     assert_eq!(status, 200);
     assert!(head.contains("Transfer-Encoding: chunked"), "{head}");
@@ -627,61 +673,54 @@ fn follow_stream_converges_byte_identically_with_the_replay() {
     let direct =
         Scenario::from_toml(&body).unwrap().stream_events(Vec::new()).expect("local replay");
     assert_eq!(followed, direct, "live subscription must converge with the replay bytes");
-    assert!(
-        !String::from_utf8_lossy(&followed).contains("follow_drop"),
-        "a keeping-up follower sees no drop markers"
-    );
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn slow_follower_gets_a_drop_marker_never_backpressure() {
-    let dir = tmp_state_dir("drop");
-    // A 512-byte live window is far smaller than the ~tens-of-KB stream,
-    // so a follower attaching after generation has already raced ahead
-    // must be told what it missed.
-    let config = ServeConfig {
-        follow_buffer_bytes: 512,
-        workers: 1,
-        state_dir: Some(dir.clone()),
-        ..ServeConfig::default()
-    };
+fn state_dir_stores_reports_only_and_follow_replays_queued_jobs() {
+    let dir = tmp_state_dir("reports-only");
+    let config = ServeConfig { workers: 1, state_dir: Some(dir.clone()), ..ServeConfig::default() };
     let daemon = Daemon::start(config);
     let addr = daemon.addr;
 
-    let body = follow_body(2, 10_000);
-    let (status, _, response) = post(addr, &body);
+    // Occupy the single worker, then queue a second job behind it.
+    let (status, _, response) = post(addr, &slow_body(20));
     assert_eq!(status, 202, "{}", body_text(&response));
-    let id = json_field(&body_text(&response), "job");
-
-    // The worker generates the stream the moment it dequeues; wait for
-    // that moment, then attach late — lines have already left the window.
-    wait_until("worker to pick the job up", Duration::from_secs(30), || {
+    let slow = body_text(&response);
+    wait_until("worker to pick the slow job up", Duration::from_secs(30), || {
         let (_, _, health) = get(addr, "/v1/healthz");
         json_field(&body_text(&health), "running") == "1"
     });
-    std::thread::sleep(Duration::from_millis(100));
+    let body = follow_body(3, 20);
+    let (status, _, response) = post(addr, &body);
+    assert_eq!(status, 202, "{}", body_text(&response));
+    let queued = body_text(&response);
+    let id = json_field(&queued, "job");
+
+    // A follower of the queued job gets the full replay without waiting
+    // for the worker.
     let (status, _, chunked) = get(addr, &format!("/v1/jobs/{id}/events?follow=1"));
     assert_eq!(status, 200);
     let followed = http::decode_chunked(&chunked).expect("well-formed chunking");
-    let text = String::from_utf8(followed.clone()).expect("UTF-8 stream");
-
-    // First line is the marker: `bas-events/v2` consumers skip unknown
-    // types, so the stream stays schema-valid NDJSON.
-    let (marker, tail) = text.split_once('\n').expect("marker line");
-    assert!(marker.contains("\"type\": \"follow_drop\""), "{marker}");
-    let dropped: u64 = json_field(marker, "dropped_lines").parse().expect("drop count");
-    assert!(dropped > 0, "{marker}");
-
-    // Whatever survives is a byte-exact suffix of the replay, and the
-    // arithmetic closes: delivered + dropped = every line of the stream.
     let direct =
         Scenario::from_toml(&body).unwrap().stream_events(Vec::new()).expect("local replay");
-    assert!(direct.ends_with(tail.as_bytes()), "tail must be a suffix of the replay");
-    let total = direct.iter().filter(|&&b| b == b'\n').count() as u64;
-    let delivered = tail.bytes().filter(|&b| b == b'\n').count() as u64;
-    assert_eq!(delivered + dropped, total);
+    assert_eq!(followed, direct, "a queued job's follower gets the replay bytes");
+
+    // Once both jobs finish, the store holds their reports and nothing else.
+    wait_done(addr, &json_field(&slow, "job"));
+    wait_done(addr, &id);
+    let mut blobs: Vec<String> = std::fs::read_dir(dir.join("blobs"))
+        .expect("blobs dir")
+        .map(|entry| entry.expect("dir entry").file_name().into_string().expect("UTF-8 name"))
+        .collect();
+    blobs.sort();
+    let mut expected: Vec<String> = [&slow, &queued]
+        .iter()
+        .map(|submitted| format!("{}.report", json_field(submitted, "digest")))
+        .collect();
+    expected.sort();
+    assert_eq!(blobs, expected);
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -68,7 +68,7 @@ pub use error::SimError;
 pub use event::{SimEvent, SliceInfo};
 pub use jsonl::{JsonlWriter, EVENTS_SCHEMA};
 pub use metrics::Metrics;
-pub use observer::{Fanout, MetricsCollector, SimObserver, TraceRecorder};
+pub use observer::{MetricsCollector, SimObserver, TraceRecorder};
 pub use state::{BatteryView, SimState};
 pub use traits::{FrequencyGovernor, MaxSpeed, TaskPolicy};
 pub use types::TaskRef;

@@ -74,71 +74,6 @@ impl<O: SimObserver + ?Sized> SimObserver for &mut O {
     }
 }
 
-/// Fans one observer slot out to several observers, in attachment order.
-///
-/// The engine's own attachment list already supports multiple observers;
-/// `Fanout` is for the APIs that expose a *single* observer slot — e.g.
-/// wrapping a streaming exporter plus a metrics collector behind one
-/// `&mut dyn SimObserver` — and for composing observers before handing them
-/// to such a slot.
-///
-/// ```
-/// use bas_sim::{Fanout, MetricsCollector, SimObserver, TraceRecorder};
-///
-/// let mut metrics = MetricsCollector::new(2.0);
-/// let mut trace = TraceRecorder::new();
-/// let mut both = Fanout::new();
-/// both.attach(&mut metrics).attach(&mut trace);
-/// // `both` now forwards every hook to `metrics` and `trace`.
-/// ```
-#[derive(Default)]
-pub struct Fanout<'a> {
-    observers: Vec<&'a mut dyn SimObserver>,
-}
-
-impl<'a> Fanout<'a> {
-    /// An empty fan-out (forwards to nobody).
-    pub fn new() -> Self {
-        Fanout { observers: Vec::new() }
-    }
-
-    /// Add an observer; hooks are forwarded in attachment order.
-    pub fn attach(&mut self, observer: &'a mut dyn SimObserver) -> &mut Self {
-        self.observers.push(observer);
-        self
-    }
-
-    /// Number of attached observers.
-    pub fn len(&self) -> usize {
-        self.observers.len()
-    }
-
-    /// Whether no observers are attached.
-    pub fn is_empty(&self) -> bool {
-        self.observers.is_empty()
-    }
-}
-
-impl std::fmt::Debug for Fanout<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Fanout").field("observers", &self.observers.len()).finish()
-    }
-}
-
-impl SimObserver for Fanout<'_> {
-    fn on_event(&mut self, state: &SimState, event: &SimEvent) {
-        for obs in &mut self.observers {
-            obs.on_event(state, event);
-        }
-    }
-
-    fn on_slice(&mut self, state: &SimState, slice: &SliceInfo) {
-        for obs in &mut self.observers {
-            obs.on_slice(state, slice);
-        }
-    }
-}
-
 /// Records the in-memory [`Trace`] from the slice stream — the observer
 /// behind `SimConfig::record_trace`, attachable externally as well.
 #[derive(Debug, Clone, Default)]
@@ -356,60 +291,6 @@ mod tests {
         assert_eq!(m.sim_time, 3.0);
         assert_eq!(m.charge, 1.5);
         assert_eq!(m.energy, 3.0);
-    }
-
-    #[test]
-    fn fanout_forwards_both_hooks_to_every_observer_in_order() {
-        #[derive(Default)]
-        struct Log {
-            events: usize,
-            slices: usize,
-        }
-        impl SimObserver for Log {
-            fn on_event(&mut self, _state: &SimState, _event: &SimEvent) {
-                self.events += 1;
-            }
-            fn on_slice(&mut self, _state: &SimState, _slice: &SliceInfo) {
-                self.slices += 1;
-            }
-        }
-
-        let state = SimState::new(TaskSet::new());
-        let mut a = Log::default();
-        let mut b = Log::default();
-        let mut fan = Fanout::new();
-        fan.attach(&mut a).attach(&mut b);
-        assert_eq!(fan.len(), 2);
-        assert!(!fan.is_empty());
-        fan.on_event(&state, &SimEvent::Idle { t: 0.0, pe: 0, duration: 1.0 });
-        fan.on_slice(
-            &state,
-            &SliceInfo { pe: 0, start: 0.0, duration: 1.0, current: 0.1, kind: SliceKind::Idle },
-        );
-        fan.on_event(&state, &SimEvent::Idle { t: 1.0, pe: 0, duration: 1.0 });
-        drop(fan);
-        assert_eq!((a.events, a.slices), (2, 1));
-        assert_eq!((b.events, b.slices), (2, 1));
-    }
-
-    #[test]
-    fn fanout_composes_real_observers_identically_to_direct_attachment() {
-        let state = SimState::new(TaskSet::new());
-        let slice =
-            SliceInfo { pe: 0, start: 0.0, duration: 2.0, current: 0.5, kind: SliceKind::Idle };
-
-        let mut direct = MetricsCollector::new(2.0);
-        direct.on_slice(&state, &slice);
-
-        let mut fanned = MetricsCollector::new(2.0);
-        let mut fan = Fanout::new();
-        fan.attach(&mut fanned);
-        fan.on_slice(&state, &slice);
-        drop(fan);
-
-        assert_eq!(direct.metrics().charge, fanned.metrics().charge);
-        assert_eq!(direct.metrics().energy, fanned.metrics().energy);
-        assert_eq!(direct.metrics().sim_time, fanned.metrics().sim_time);
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! A minimal hand-rolled JSON parser.
 //!
 //! The workspace is dependency-free by policy (the build environment has no
-//! registry access), so WfCommons instances are parsed with the same
-//! byte-cursor machinery the serve daemon uses for JSON scenario
-//! submissions — re-implemented here rather than imported, because a
-//! workload library depending on an HTTP daemon would be the tail wagging
-//! the dog. The subset is full JSON minus nothing: objects, arrays, all
-//! scalar types, string escapes including surrogate pairs.
+//! registry access), so JSON is parsed by this one byte-cursor parser: it
+//! reads WfCommons instances here and JSON scenario submissions in the
+//! serve daemon. The subset is full JSON minus nothing: objects, arrays,
+//! all scalar types, string escapes including surrogate pairs.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,24 +74,24 @@ impl Json {
 
 /// Parse a complete JSON document. The entire input must be consumed.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { src: input, pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(format!("trailing garbage after JSON document at byte {}", p.pos));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.src.as_bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -103,7 +101,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -116,7 +114,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -229,12 +227,15 @@ impl Parser<'_> {
                     return Err("raw control character in string".to_string());
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (multi-byte sequences included).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next quote,
+                    // escape or control byte in one go. Those stop bytes are
+                    // ASCII, so the run ends on a character boundary.
+                    let run = self.src.as_bytes()[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.src.len(), |n| self.pos + n);
+                    out.push_str(&self.src[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -246,7 +247,7 @@ impl Parser<'_> {
         let first = self.hex4()?;
         if (0xD800..0xDC00).contains(&first) {
             // High surrogate: a low surrogate escape must follow.
-            if self.bytes[self.pos..].starts_with(b"\\u") {
+            if self.src.as_bytes()[self.pos..].starts_with(b"\\u") {
                 self.pos += 2;
                 let second = self.hex4()?;
                 if (0xDC00..0xE000).contains(&second) {
@@ -265,11 +266,7 @@ impl Parser<'_> {
 
     fn hex4(&mut self) -> Result<u32, String> {
         let end = self.pos + 4;
-        let digits = self
-            .bytes
-            .get(self.pos..end)
-            .and_then(|d| std::str::from_utf8(d).ok())
-            .ok_or("truncated \\u escape")?;
+        let digits = self.src.get(self.pos..end).ok_or("truncated \\u escape")?;
         let value =
             u32::from_str_radix(digits, 16).map_err(|_| format!("bad \\u escape {digits:?}"))?;
         self.pos = end;
@@ -292,7 +289,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let token = &self.src[start..self.pos];
         if !float {
             if let Ok(i) = token.parse::<i64>() {
                 return Ok(Json::Int(i));
@@ -338,6 +335,21 @@ mod tests {
     fn string_escapes_decode() {
         let doc = parse(r#"{"s": "a\"b\\c\nd é 😀"}"#).unwrap();
         assert_eq!(doc.get("s").unwrap().as_str(), Some("a\"b\\c\nd é 😀"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A string near the daemon's 1 MiB body cap, mixing ASCII,
+        // multi-byte characters and escapes. Decoding must stay linear in
+        // its length, or one submission holds a connection thread for
+        // seconds to minutes.
+        let text = "abcdéfgh\\\"😀!".repeat(1024 * 1024 / 16);
+        let doc = format!("{{\"s\": \"{text}\"}}");
+        assert!(doc.len() >= 1024 * 1024, "{}", doc.len());
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        assert!(start.elapsed() < std::time::Duration::from_secs(5), "{:?}", start.elapsed());
+        assert_eq!(parsed.get("s").unwrap().as_str(), Some(text.replace("\\\"", "\"").as_str()));
     }
 
     #[test]

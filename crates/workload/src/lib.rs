@@ -18,8 +18,8 @@
 //! Both produce plain [`bas_taskgraph::TaskGraph`]s, so everything
 //! downstream — mapping, DVS policies, battery models, the CLI — works
 //! unchanged. The JSON machinery is hand-rolled ([`json`]) to keep the
-//! workspace dependency-free, mirroring the byte-cursor parser the serve
-//! daemon uses for scenario submissions.
+//! workspace dependency-free; it is the workspace's one JSON parser, which
+//! the serve daemon also uses for scenario submissions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
